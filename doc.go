@@ -274,11 +274,13 @@
 // PERFORMANCE.md for design notes and measured numbers):
 //
 //   - internal/ir compiles each cyclic SCC into a RecEngine once per graph:
-//     endpoints re-indexed, per-edge latency split into a fixed part plus a
-//     reference to the owning instruction's assigned latency, and scratch
-//     buffers reused, so the latency-assignment pass evaluates single-load
-//     perturbations incrementally (IIWithChange) with warm binary-search
-//     bounds instead of re-running Bellman-Ford over [1, ΣL] from scratch;
+//     endpoints re-indexed, edges grouped by source, per-edge latency split
+//     into a fixed part plus a reference to the owning instruction's
+//     assigned latency, and scratch buffers reused. Each query solves the
+//     SCC's maximum cycle ratio exactly by Howard's policy iteration in
+//     integer arithmetic, warm-started from the engine's previous policy,
+//     so a single-load perturbation (IIWithChange) typically costs one or
+//     two linear passes instead of a binary search of Bellman-Ford probes;
 //   - internal/sim streams memory accesses through a k-way merge over the
 //     per-instruction arithmetic progressions t = cycle + i·II instead of
 //     materializing and sorting the iters×mems event list;

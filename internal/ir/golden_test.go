@@ -103,7 +103,7 @@ func TestGoldenRecurrences(t *testing.T) {
 }
 
 // TestGoldenIIWithChange: for every recurrence load and candidate latency
-// (lowering and raising), the warm-bounded perturbation query must agree
+// (lowering and raising), the perturbation query must agree
 // with the naive RecII on the mutated vector.
 func TestGoldenIIWithChange(t *testing.T) {
 	labels, loops, graphs := suiteGraphs(t)
@@ -120,7 +120,7 @@ func TestGoldenIIWithChange(t *testing.T) {
 					assigned[m] = lat
 					want := g.RecII(rec.Nodes, assigned)
 					assigned[m] = saved
-					if got := rec.Eng.IIWithChange(assigned, m, lat, rec.II); got != want {
+					if got := rec.Eng.IIWithChange(assigned, m, lat); got != want {
 						t.Errorf("%s rec@%d load %d lat %d: IIWithChange = %d, want %d",
 							labels[gi], rec.Nodes[0], m, lat, got, want)
 					}

@@ -55,7 +55,7 @@ func BenchmarkRecII(b *testing.B) {
 		b.Run("engine-change", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rec.Eng.IIWithChange(assigned, load, 1, rec.II)
+				rec.Eng.IIWithChange(assigned, load, 1)
 			}
 		})
 	}

@@ -128,19 +128,8 @@ func Assign(l *ir.Loop, g *ir.Graph, cfg arch.Config, ld Ladder, prof map[int]Me
 	assigned := l.DefaultLatencies(ld.Max())
 
 	// Target MII: the MII of the loop if all memory instructions had the
-	// smallest (local hit / hit) latency, also bounded by resources. The
-	// per-recurrence ideal IIs double as search floors for bestStep: no
-	// single-load lowering can take a recurrence below its all-minimum II.
-	ideal := l.DefaultLatencies(ld.Min())
-	target := 1
-	floors := make(map[*ir.RecEngine]int, len(g.RecEngines()))
-	for _, eng := range g.RecEngines() {
-		ii := eng.II(ideal)
-		floors[eng] = ii
-		if ii > target {
-			target = ii
-		}
-	}
+	// smallest (local hit / hit) latency, also bounded by resources.
+	target := ir.RecMII(g, l.DefaultLatencies(ld.Min()))
 	if res := ir.ResMII(l, cfg); res > target {
 		target = res
 	}
@@ -159,7 +148,7 @@ func Assign(l *ir.Loop, g *ir.Graph, cfg arch.Config, ld Ladder, prof map[int]Me
 		ii := rec.II
 		last := -1
 		for ii > target {
-			step, ok := bestStep(rec.Eng, loads, ld, prof, assigned, ii, floors[rec.Eng])
+			step, ok := bestStep(rec.Eng, loads, ld, prof, assigned, ii)
 			if !ok {
 				break // no remaining change lowers the II
 			}
@@ -197,10 +186,8 @@ func recLoads(l *ir.Loop, nodes []int) []int {
 
 // bestStep evaluates the benefit function for every (load, lower latency)
 // pair of the recurrence and returns the winning change. loads is the
-// recurrence's load list, computed once per recurrence by the caller; floor
-// is the recurrence's II with every load at the ladder minimum, a lower
-// bound no single-load lowering can beat.
-func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile, assigned []int, curII, floor int) (Step, bool) {
+// recurrence's load list, computed once per recurrence by the caller.
+func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile, assigned []int, curII int) (Step, bool) {
 	best := Step{B: math.Inf(-1)}
 	found := false
 	for _, m := range loads {
@@ -208,25 +195,22 @@ func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile
 		p := prof[m] // zero value: hit rate 0, worst case
 		oldStall := ExpectedStall(ld, p, cur)
 		// The perturbed II is monotone in the latency and bounded above
-		// by curII, so along ascending candidates each result is a floor
-		// for the next, and once a candidate leaves the II at curII
-		// every larger candidate does too and needs no search. Ladders
-		// are expected ascending but nothing enforces it, so the chain
-		// resets whenever a candidate goes out of order.
+		// by curII, so once an ascending candidate leaves the II at
+		// curII every larger candidate does too and needs no solve.
+		// Ladders are expected ascending but nothing enforces it, so the
+		// skip resets whenever a candidate goes out of order.
 		newII := -1
-		lo := floor
 		prevLa := -1
 		for _, la := range ld {
 			if la >= cur {
 				continue
 			}
 			if la < prevLa {
-				newII, lo = -1, floor
+				newII = -1
 			}
 			prevLa = la
 			if newII != curII {
-				newII = eng.IIWithChangeIn(assigned, m, la, curII, lo)
-				lo = newII
+				newII = eng.IIWithChange(assigned, m, la)
 			}
 			dII := curII - newII
 			dStall := ExpectedStall(ld, p, la) - oldStall
@@ -273,9 +257,8 @@ func better(b float64, dII, instr, la int, cur Step) bool {
 }
 
 // raiseToTarget finds the largest latency in [assigned[last], maxLat] for
-// instruction `last` such that the recurrence II stays ≤ target. The II
-// never needs to be computed: II ≤ target is exactly feasibility at the
-// target, one Bellman-Ford probe per latency probe.
+// instruction `last` such that the recurrence II stays ≤ target, one
+// FeasibleWithChange query per latency probe.
 func raiseToTarget(eng *ir.RecEngine, assigned []int, last, maxLat, target int) int {
 	lo, hi := assigned[last], maxLat
 	for lo < hi {

@@ -40,7 +40,7 @@
 #      4-sibling baseline) is written to BENCH_7.json
 #  10. cost-balanced scheduling + work stealing: on a skewed mixed-cluster
 #      grid (2-cluster compiles are milliseconds, 8-cluster compiles are
-#      hundreds of milliseconds), `-calibrate` must round-trip through
+#      tens of milliseconds), `-calibrate` must round-trip through
 #      CALIBRATION.json; `-coordinate-balance cost -coordinate-steal 4` must
 #      stitch byte-identically through the inproc, exec and pool launchers —
 #      including a run with an injected chunk crash — and a corrupt
@@ -66,6 +66,10 @@
 #      diagnostics, and -json must emit them as parseable JSON — so a
 #      silently broken analyzer can never fake a clean repo. The analyzer
 #      wall time per KLoC lands in BENCH_10.json
+#  13. bounded fuzzing: FuzzRecEngine (internal/ir) checks the exact
+#      recurrence-II solver against the naive Graph.RecII on generated
+#      components for 10s; a crasher is written under
+#      internal/ir/testdata/fuzz/FuzzRecEngine and becomes a committed seed
 #
 # Usage: scripts/ci.sh
 # To refresh the golden transcript after an *intentional* output change:
@@ -77,16 +81,16 @@ tmp="$(mktemp -d)"
 served_pid=""
 trap 'if [ -n "$served_pid" ]; then kill "$served_pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
 
-echo "== 1/12 go build ./... =="
+echo "== 1/13 go build ./... =="
 go build ./...
 
-echo "== 2/12 go vet ./... =="
+echo "== 2/13 go vet ./... =="
 go vet ./...
 
-echo "== 3/12 go test -race ./... =="
+echo "== 3/13 go test -race ./... =="
 go test -race ./...
 
-echo "== 4/12 paper-output byte identity (ivliw-bench -exp all) =="
+echo "== 4/13 paper-output byte identity (ivliw-bench -exp all) =="
 go build -o "$tmp/ivliw-bench" ./cmd/ivliw-bench
 "$tmp/ivliw-bench" -exp all > "$tmp/exp_all.txt"
 if ! cmp -s cmd/ivliw-bench/testdata/exp_all.golden "$tmp/exp_all.txt"; then
@@ -96,7 +100,7 @@ if ! cmp -s cmd/ivliw-bench/testdata/exp_all.golden "$tmp/exp_all.txt"; then
 fi
 echo "byte-identical"
 
-echo "== 5/12 sweep determinism across workers and compile cache =="
+echo "== 5/13 sweep determinism across workers and compile cache =="
 # run_sweep keeps stderr (cache-stats noise, but also any crash) in a log
 # that is replayed if the invocation fails.
 run_sweep() { # out_file, args...
@@ -136,7 +140,7 @@ if [ "$rows" -lt 12 ]; then
 fi
 echo "deterministic ($rows rows; workers 1/8 × cache on/off × stdout/-out)"
 
-echo "== 6/12 declarative specs, sharding and the disk artifact store =="
+echo "== 6/13 declarative specs, sharding and the disk artifact store =="
 # Capture the default flag grid as a spec file; running the file must be
 # byte-identical to the cache-disabled reference of step 5.
 "$tmp/ivliw-bench" -sweep -spec-out "$tmp/spec.json"
@@ -184,7 +188,7 @@ for bad in "3/3" "-1/3" "x/3" "1x3" "0/0"; do
 done
 echo "spec/shard/store byte-identical (3 shards; warm store compiles nothing)"
 
-echo "== 7/12 distributed sweep coordinator: stitch, retry, resume =="
+echo "== 7/13 distributed sweep coordinator: stitch, retry, resume =="
 # Plain coordinated run over worker subprocesses: the stitched output must
 # reproduce the cache-disabled single-process reference byte for byte.
 coord="$tmp/coord"
@@ -242,7 +246,7 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/coord_resume.jsonl"; then
 fi
 echo "coordinator byte-identical (3 worker subprocesses; 1 injected failure retried; resume launches 0)"
 
-echo "== 8/12 health-checked worker pool: heartbeats, failure domains, fault plan =="
+echo "== 8/13 health-checked worker pool: heartbeats, failure domains, fault plan =="
 now_ns() { date +%s%N; }
 # Timed plain-exec reference (fresh work dir so nothing resumes) for the
 # pool-overhead snapshot.
@@ -339,7 +343,7 @@ echo "pool byte-identical (plain, dead-worker+hang fault plan); manifest attribu
 echo "snapshot written to BENCH_6.json:"
 cat BENCH_6.json
 
-echo "== 9/12 batched simulation: -sim-batch byte-identity and scaling curve =="
+echo "== 9/13 batched simulation: -sim-batch byte-identity and scaling curve =="
 # The default grid's AB axis (0 vs 16 entries) is simulate-only, so every
 # compile key owns 2 sibling cells — batching has real lanes to merge.
 # Serial batched run: must be byte-identical to the batch-off reference.
@@ -413,9 +417,9 @@ fi
 echo "snapshot written to BENCH_7.json:"
 cat BENCH_7.json
 
-echo "== 10/12 cost-balanced scheduling + work stealing =="
+echo "== 10/13 cost-balanced scheduling + work stealing =="
 # The skew grid: the 2-cluster half compiles in milliseconds, the 8-cluster
-# half in hundreds of milliseconds (two heavy compile-key atoms, one per
+# half in tens of milliseconds (two heavy compile-key atoms, one per
 # cache geometry) — the workload shape cost-balanced cuts exist for.
 "$tmp/ivliw-bench" -sweep -sweep-clusters 2,8 -sweep-cache-kb 4,8 -sweep-ab 0,16 \
   -sweep-bench jpegenc,g721dec -spec-out "$tmp/skew.json"
@@ -549,7 +553,7 @@ awk -v count_ms="$count_ms" -v cost_ms="$cost_ms" -v steal_ms="$steal_ms" \
 echo "snapshot written to BENCH_8.json:"
 cat BENCH_8.json
 
-echo "== 11/12 sweep as a service: ivliw-served + ivliw-load =="
+echo "== 11/13 sweep as a service: ivliw-served + ivliw-load =="
 go build -o "$tmp/ivliw-served" ./cmd/ivliw-served
 go build -o "$tmp/ivliw-load" ./cmd/ivliw-load
 # Start the daemon on an ephemeral port: exec launcher over real worker
@@ -653,7 +657,7 @@ echo "replay clean (1000 submissions, 12 executions); SIGTERM drained exit 0"
 echo "snapshot written to BENCH_9.json:"
 cat BENCH_9.json
 
-echo "== 12/12 static analysis: ivliw-vet clean gate + seeded-violation smoke =="
+echo "== 12/13 static analysis: ivliw-vet clean gate + seeded-violation smoke =="
 go build -o "$tmp/ivliw-vet" ./cmd/ivliw-vet
 # Clean gate, timed: the repo must satisfy its own analyzers. A warm-up run
 # first so the measurement is the analysis, not `go list` compiling export
@@ -745,5 +749,8 @@ printf '{\n  "snapshot": 10,\n  "date": "%s",\n  "go": "%s",\n  "analyzers": ["a
   "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(go env GOVERSION)" "$loc" "$vet_wall_ms" "$ms_per_kloc" > BENCH_10.json
 echo "snapshot written to BENCH_10.json:"
 cat BENCH_10.json
+
+echo "== 13/13 bounded fuzzing: FuzzRecEngine against the naive RecII =="
+go test -run '^$' -fuzz '^FuzzRecEngine$' -fuzztime 10s ./internal/ir
 
 echo "CI PASS"

@@ -122,6 +122,28 @@ func waitState(t *testing.T, c *Client, job, want string) StatusResponse {
 	}
 }
 
+// waitShardDone polls the coordinator manifest at path until shard i is
+// recorded done.
+func waitShardDone(t *testing.T, path string, i int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var m struct {
+			Shards []struct {
+				Status string `json:"status"`
+			} `json:"shards"`
+		}
+		if data, err := os.ReadFile(path); err == nil && json.Unmarshal(data, &m) == nil &&
+			i < len(m.Shards) && m.Shards[i].Status == "done" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard %d never recorded done in %s", i, path)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestSingleFlight is the headline dedup property: N concurrent identical
 // submissions execute exactly once. The launcher gate holds the one
 // execution open until every submission has been answered, so no
@@ -238,7 +260,9 @@ func TestDrainAndResume(t *testing.T) {
 	body := encode(t, spec)
 
 	// Shard 1 blocks until shutdown; shard 0 completes and lands in the
-	// coordinator manifest. launched tells the test shard 1 is in flight.
+	// coordinator manifest. launched tells the test both shards are in
+	// flight; the test then waits for shard 0's manifest entry before it
+	// drains.
 	launched := make(chan struct{}, 2)
 	blocking := sweep.LaunchFunc(func(ctx context.Context, task sweep.ShardTask) error {
 		launched <- struct{}{}
@@ -266,6 +290,7 @@ func TestDrainAndResume(t *testing.T) {
 	}
 	<-launched
 	<-launched
+	waitShardDone(t, filepath.Join(dir, "jobs", sub.Job, coordDirName, "manifest.json"), 0)
 	cancel()
 	<-runDone
 	hs.Close()
