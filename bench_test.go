@@ -168,8 +168,13 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduler isolates the modulo scheduler on progressively larger
-// unrolled bodies (an ablation of scheduling cost, not a paper figure).
+// BenchmarkScheduler times the whole Program.Compile (profiling, chains,
+// unrolling, latency assignment, ordering and modulo scheduling) of a loop
+// whose 8 loads feed a chain of integer ops, without and with ×N
+// unrolling; an ablation of compile
+// cost, not a paper figure. The name predates the per-layer benchmarks and
+// is kept so BENCH_1–5 stay comparable; sched.Run alone is timed by
+// BenchmarkSchedRun in internal/sched.
 func BenchmarkScheduler(b *testing.B) {
 	for _, unroll := range []ivliw.UnrollMode{ivliw.NoUnroll, ivliw.UnrollxN} {
 		b.Run(fmt.Sprintf("unroll=%v", unroll), func(b *testing.B) {

@@ -281,6 +281,16 @@
 //     integer arithmetic, warm-started from the engine's previous policy,
 //     so a single-load perturbation (IIWithChange) typically costs one or
 //     two linear passes instead of a binary search of Bellman-Ford probes;
+//   - internal/latassign solves each recurrence once more up front, with
+//     all of its loads at the smallest ladder latency: that II bounds every
+//     II a step can reach, so bestStep skips the solve of any candidate
+//     whose best possible benefit already loses to the incumbent;
+//   - internal/sched builds one scheduler per Run and resets it for each II
+//     tried, reusing every buffer. Each node's incident edges are listed
+//     once, in loop-edge order, so the cycle window, the copy plan and the
+//     communication count walk only those edges; per-cluster load counters
+//     and an insertion sort rank the candidate clusters, and a per-slot
+//     array replaces the per-probe map of bus reservations;
 //   - internal/sim streams memory accesses through a k-way merge over the
 //     per-instruction arithmetic progressions t = cycle + i·II instead of
 //     materializing and sorting the iters×mems event list;

@@ -19,6 +19,7 @@ package latassign
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"ivliw/internal/arch"
@@ -140,15 +141,26 @@ func Assign(l *ir.Loop, g *ir.Graph, cfg arch.Config, ld Ladder, prof map[int]Me
 	// its in-component producer, so steps applied to one recurrence never
 	// change another's II: the IIs computed here stay valid throughout.
 	recs := g.Recurrences(assigned)
+	minLat := slices.Min(ld)
+	var lowest []int
 	for _, rec := range recs {
 		loads := recLoads(l, rec.Nodes)
 		if len(loads) == 0 {
 			continue
 		}
+		// floor is the recurrence's II with every load at the smallest
+		// ladder entry (not ld[0]: nothing enforces an ascending ladder).
+		// II is monotone in latency and loads only take ladder values, so
+		// floor bounds every II a step can reach from below.
+		lowest = append(lowest[:0], assigned...)
+		for _, m := range loads {
+			lowest[m] = minLat
+		}
+		floor := rec.Eng.II(lowest)
 		ii := rec.II
 		last := -1
 		for ii > target {
-			step, ok := bestStep(rec.Eng, loads, ld, prof, assigned, ii)
+			step, ok := bestStep(rec.Eng, loads, ld, prof, assigned, ii, floor)
 			if !ok {
 				break // no remaining change lowers the II
 			}
@@ -186,8 +198,9 @@ func recLoads(l *ir.Loop, nodes []int) []int {
 
 // bestStep evaluates the benefit function for every (load, lower latency)
 // pair of the recurrence and returns the winning change. loads is the
-// recurrence's load list, computed once per recurrence by the caller.
-func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile, assigned []int, curII int) (Step, bool) {
+// recurrence's load list, computed once per recurrence by the caller, and
+// floor a lower bound on every II a candidate can reach.
+func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile, assigned []int, curII, floor int) (Step, bool) {
 	best := Step{B: math.Inf(-1)}
 	found := false
 	for _, m := range loads {
@@ -209,11 +222,19 @@ func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile
 				newII = -1
 			}
 			prevLa = la
+			dStall := ExpectedStall(ld, p, la) - oldStall
 			if newII != curII {
+				// A candidate whose benefit bound (the II falling to
+				// floor) loses to the incumbent cannot win: better
+				// compares B first and strictly. Skip its solve; its
+				// II is unknown, so the monotone skip resets.
+				if found && dStall > 0 && benefit(curII-floor, dStall) < best.B {
+					newII = -1
+					continue
+				}
 				newII = eng.IIWithChange(assigned, m, la)
 			}
 			dII := curII - newII
-			dStall := ExpectedStall(ld, p, la) - oldStall
 			b := benefit(dII, dStall)
 			if !found || better(b, dII, m, la, best) {
 				best = Step{Instr: m, From: cur, To: la, DeltaII: dII, DeltaStall: dStall, B: b}

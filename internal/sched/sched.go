@@ -23,7 +23,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"ivliw/internal/arch"
 	"ivliw/internal/ir"
@@ -111,18 +110,6 @@ type Schedule struct {
 	MII int
 }
 
-// Clusters returns the number of clusters used (max cluster index + 1 is not
-// meaningful; this returns the config value captured at scheduling time).
-func (s *Schedule) clusterCount() int {
-	max := 0
-	for _, p := range s.Place {
-		if p.Cluster > max {
-			max = p.Cluster
-		}
-	}
-	return max + 1
-}
-
 // WorkloadBalance returns the §5.2 balance metric of the schedule:
 // instructions in the most loaded cluster over total instructions, a value
 // in [1/N, 1] where 1/N is perfect balance.
@@ -163,22 +150,34 @@ func (s *Schedule) ConsumerSlack(id int) (int, bool) {
 	return slack, found
 }
 
-// Scheduler carries the per-attempt state.
+// scheduler carries the state of one Run. Its buffers are sized once and
+// reset for every II the search tries; only the Place and Copies of the
+// returned Schedule are fresh allocations.
 type scheduler struct {
 	loop     *ir.Loop
-	g        *ir.Graph
 	cfg      arch.Config
 	assigned []int
 	order    []int
 	opt      Options
+	// inc[v] lists the loop-edge indices incident to v, self-loops
+	// excluded, in ascending order: the order copies are planned in.
+	inc [][]int
 
 	ii           int
 	place        []Placement
 	placed       []bool
-	fu           [][]int // [cluster][fuKind*ii + slot] usage count
-	bus          []int   // [slot] register-bus usage count
+	load         []int // [cluster] instructions placed
+	fu           []int // [(cluster*NumFUKinds + fuKind)*ii + slot] usage count
+	bus          []int // [slot] register-bus usage count
 	copies       []Copy
 	chainCluster map[int]int
+
+	// Scratch reused across nodes and placement probes.
+	cands    []int  // candidate clusters, most preferred first
+	comm     []int  // [cluster] new communications placing v there costs
+	busDelta []int  // [slot] bus reservations of the probe being planned
+	touched  []int  // slots with a nonzero busDelta
+	plans    []Copy // copies of the probe being planned
 }
 
 // Run schedules the loop: the node order must come from sms.Order over the
@@ -196,11 +195,9 @@ func Run(l *ir.Loop, g *ir.Graph, cfg arch.Config, assigned []int, order []int, 
 	if maxII <= 0 {
 		maxII = mii + 256
 	}
+	s := newScheduler(l, g, cfg, assigned, order, opt)
 	for ii := mii; ii <= maxII; ii++ {
-		s := &scheduler{
-			loop: l, g: g, cfg: cfg, assigned: assigned, order: order, opt: opt, ii: ii,
-		}
-		if sched, ok := s.attempt(); ok {
+		if sched, ok := s.attempt(ii); ok {
 			sched.MII = mii
 			return sched, nil
 		}
@@ -208,19 +205,66 @@ func Run(l *ir.Loop, g *ir.Graph, cfg arch.Config, assigned []int, order []int, 
 	return nil, fmt.Errorf("sched: no schedule for %s within II %d..%d", l.Name, mii, maxII)
 }
 
-// attempt tries to schedule every node at the current II.
-func (s *scheduler) attempt() (*Schedule, bool) {
-	n := len(s.loop.Instrs)
-	s.place = make([]Placement, n)
-	s.placed = make([]bool, n)
-	s.fu = make([][]int, s.cfg.Clusters)
-	for c := range s.fu {
-		s.fu[c] = make([]int, int(arch.NumFUKinds)*s.ii)
+// newScheduler allocates the per-Run state and builds the incident-edge
+// lists by merging each node's ascending In and Out edge lists.
+func newScheduler(l *ir.Loop, g *ir.Graph, cfg arch.Config, assigned, order []int, opt Options) *scheduler {
+	n := len(l.Instrs)
+	s := &scheduler{
+		loop: l, cfg: cfg, assigned: assigned, order: order, opt: opt,
+		inc:          make([][]int, n),
+		place:        make([]Placement, n),
+		placed:       make([]bool, n),
+		load:         make([]int, cfg.Clusters),
+		chainCluster: map[int]int{},
+		cands:        make([]int, cfg.Clusters),
+		comm:         make([]int, cfg.Clusters),
 	}
-	s.bus = make([]int, s.ii)
-	s.copies = nil
-	s.chainCluster = map[int]int{}
+	flat := make([]int, 0, 2*len(l.Edges))
+	for v := range s.inc {
+		start := len(flat)
+		in, out := g.In[v], g.Out[v]
+		for len(in) > 0 || len(out) > 0 {
+			var ei int
+			if len(out) == 0 || (len(in) > 0 && in[0] < out[0]) {
+				ei, in = in[0], in[1:]
+			} else {
+				ei, out = out[0], out[1:]
+			}
+			if e := l.Edges[ei]; e.From != e.To {
+				flat = append(flat, ei)
+			}
+		}
+		s.inc[v] = flat[start:len(flat):len(flat)]
+	}
+	return s
+}
 
+// reset clears the per-attempt state for a new II, reusing every buffer.
+func (s *scheduler) reset(ii int) {
+	s.ii = ii
+	clear(s.place)
+	clear(s.placed)
+	clear(s.load)
+	s.fu = zeroed(s.fu, s.cfg.Clusters*int(arch.NumFUKinds)*ii)
+	s.bus = zeroed(s.bus, ii)
+	s.busDelta = zeroed(s.busDelta, ii)
+	s.copies = s.copies[:0]
+	clear(s.chainCluster)
+}
+
+// zeroed returns buf resized to n zero entries, reusing its storage.
+func zeroed(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// attempt tries to schedule every node at the given II.
+func (s *scheduler) attempt(ii int) (*Schedule, bool) {
+	s.reset(ii)
 	for _, v := range s.order {
 		if !s.scheduleNode(v) {
 			return nil, false
@@ -256,42 +300,33 @@ func (s *scheduler) attempt() (*Schedule, bool) {
 		Assigned: s.assigned,
 		II:       s.ii,
 		SC:       maxCycle/s.ii + 1,
-		Place:    s.place,
-		Copies:   s.copies,
+		Place:    append([]Placement(nil), s.place...),
+		Copies:   append([]Copy(nil), s.copies...),
 	}, true
 }
 
 // scheduleNode places one instruction, trying candidate clusters in
 // preference order and cycles within an II-wide window: upward from the
-// earliest start when predecessors are placed, downward from the latest
-// start when only successors are (bottom-up sweeps of the swing order), and
-// upward from cycle 0 for seeds.
+// earliest start when predecessors are placed (not past the latest start),
+// downward from the latest start when only successors are (bottom-up sweeps
+// of the swing order), and upward from cycle 0 for seeds.
 func (s *scheduler) scheduleNode(v int) bool {
 	for _, c := range s.candidateClusters(v) {
 		est, lst, hasPred, hasSucc, ok := s.window(v, c)
 		if !ok {
 			continue
 		}
-		var cycles []int
+		t, n, dt := 0, s.ii, 1
 		switch {
 		case hasPred:
-			hi := est + s.ii - 1
-			if hasSucc && lst < hi {
-				hi = lst
-			}
-			for t := est; t <= hi; t++ {
-				cycles = append(cycles, t)
+			t = est
+			if hasSucc && lst < est+s.ii-1 {
+				n = lst - est + 1
 			}
 		case hasSucc:
-			for t := lst; t > lst-s.ii; t-- {
-				cycles = append(cycles, t)
-			}
-		default:
-			for t := 0; t < s.ii; t++ {
-				cycles = append(cycles, t)
-			}
+			t, dt = lst, -1
 		}
-		for _, t := range cycles {
+		for ; n > 0; n, t = n-1, t+dt {
 			if s.tryPlace(v, c, t) {
 				if ch := s.chainID(v); ch >= 0 {
 					if _, bound := s.chainCluster[ch]; !bound {
@@ -313,65 +348,73 @@ func (s *scheduler) chainID(v int) int {
 	return s.opt.ChainOf(v)
 }
 
-// candidateClusters returns the clusters to try for v, most preferred first.
+// candidateClusters returns the clusters to try for v, most preferred
+// first. The slice is scratch, valid until the next call.
 func (s *scheduler) candidateClusters(v int) []int {
 	in := s.loop.Instrs[v]
 
 	// Chain-bound memory instructions have no choice.
 	if ch := s.chainID(v); ch >= 0 {
 		if c, bound := s.chainCluster[ch]; bound {
-			return []int{c}
+			return s.only(c)
 		}
 		if s.opt.Heuristic == IPBC {
-			return []int{s.opt.Preferred(v)}
+			return s.only(s.opt.Preferred(v))
 		}
 	} else if in.IsMem() && s.opt.Heuristic == IPBC {
 		// NoChains ablation: free scheduling in the preferred cluster.
-		return []int{s.opt.Preferred(v)}
+		return s.only(s.opt.Preferred(v))
 	}
 
-	// Order all clusters by (fewest new communications, best balance).
-	type cand struct {
-		c    int
-		comm int // register-flow neighbors placed in other clusters
-		load int // instructions already placed in c
-	}
-	cands := make([]cand, s.cfg.Clusters)
-	loads := make([]int, s.cfg.Clusters)
-	for i, p := range s.place {
-		if s.placed[i] {
-			loads[p.Cluster]++
+	// comm[c] counts the register-flow edges to placed neighbors outside
+	// c: all such edges minus those whose neighbor sits in c.
+	clear(s.comm)
+	total := 0
+	for _, ei := range s.inc[v] {
+		e := &s.loop.Edges[ei]
+		if e.Kind != ir.RegFlow {
+			continue
+		}
+		u := e.From
+		if u == v {
+			u = e.To
+		}
+		if s.placed[u] {
+			total++
+			s.comm[s.place[u].Cluster]++
 		}
 	}
-	for c := 0; c < s.cfg.Clusters; c++ {
-		comm := 0
-		for _, e := range s.loop.Edges {
-			if e.Kind != ir.RegFlow {
-				continue
-			}
-			switch {
-			case e.From == v && e.To != v && s.placed[e.To] && s.place[e.To].Cluster != c:
-				comm++
-			case e.To == v && e.From != v && s.placed[e.From] && s.place[e.From].Cluster != c:
-				comm++
-			}
-		}
-		cands[c] = cand{c: c, comm: comm, load: loads[c]}
+	for c := range s.comm {
+		s.comm[c] = total - s.comm[c]
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].comm != cands[j].comm {
-			return cands[i].comm < cands[j].comm
+
+	// Order all clusters by (fewest new communications, best balance,
+	// index). The key is total, so insertion sort matches a stable sort.
+	for i := range s.cands {
+		j := i
+		for ; j > 0 && s.before(i, s.cands[j-1]); j-- {
+			s.cands[j] = s.cands[j-1]
 		}
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
-		}
-		return cands[i].c < cands[j].c
-	})
-	out := make([]int, len(cands))
-	for i, cd := range cands {
-		out[i] = cd.c
+		s.cands[j] = i
 	}
-	return out
+	return s.cands
+}
+
+// only returns the single candidate cluster c.
+func (s *scheduler) only(c int) []int {
+	s.cands[0] = c
+	return s.cands[:1]
+}
+
+// before orders candidate clusters by (comm, load, index).
+func (s *scheduler) before(a, b int) bool {
+	if s.comm[a] != s.comm[b] {
+		return s.comm[a] < s.comm[b]
+	}
+	if s.load[a] != s.load[b] {
+		return s.load[a] < s.load[b]
+	}
+	return a < b
 }
 
 // window computes the earliest and latest feasible issue cycle of v in
@@ -381,29 +424,31 @@ func (s *scheduler) candidateClusters(v int) []int {
 func (s *scheduler) window(v, c int) (est, lst int, hasPred, hasSucc, ok bool) {
 	const inf = 1 << 30
 	est, lst = -inf, inf
-	for _, e := range s.loop.Edges {
-		if e.To == v && e.From != v && s.placed[e.From] {
-			if e.Kind == ir.RegAnti && s.place[e.From].Cluster != c {
-				continue // different register files: no constraint
-			}
-			lat := s.loop.EdgeLatency(e, s.assigned)
-			if e.Kind == ir.RegFlow && s.place[e.From].Cluster != c {
-				lat += s.cfg.CommLatency()
-			}
-			if t := s.place[e.From].Cycle + lat - s.ii*e.Distance; t > est {
+	for _, ei := range s.inc[v] {
+		e := s.loop.Edges[ei]
+		pred := e.To == v
+		u := e.To
+		if pred {
+			u = e.From
+		}
+		if !s.placed[u] {
+			continue
+		}
+		cross := s.place[u].Cluster != c
+		if e.Kind == ir.RegAnti && cross {
+			continue // different register files: no constraint
+		}
+		lat := s.loop.EdgeLatency(e, s.assigned)
+		if e.Kind == ir.RegFlow && cross {
+			lat += s.cfg.CommLatency()
+		}
+		if pred {
+			if t := s.place[u].Cycle + lat - s.ii*e.Distance; t > est {
 				est = t
 			}
 			hasPred = true
-		}
-		if e.From == v && e.To != v && s.placed[e.To] {
-			if e.Kind == ir.RegAnti && s.place[e.To].Cluster != c {
-				continue
-			}
-			lat := s.loop.EdgeLatency(e, s.assigned)
-			if e.Kind == ir.RegFlow && s.place[e.To].Cluster != c {
-				lat += s.cfg.CommLatency()
-			}
-			if t := s.place[e.To].Cycle - lat + s.ii*e.Distance; t < lst {
+		} else {
+			if t := s.place[u].Cycle - lat + s.ii*e.Distance; t < lst {
 				lst = t
 			}
 			hasSucc = true
@@ -414,78 +459,96 @@ func (s *scheduler) window(v, c int) (est, lst int, hasPred, hasSucc, ok bool) {
 
 // tryPlace attempts to commit v to (cluster c, cycle t): the functional unit
 // must be free and every cross-cluster register-flow edge to an
-// already-placed neighbor must find a bus slot. On success all reservations
-// are made.
+// already-placed neighbor must find a bus slot, planned greedily in
+// loop-edge order. On success all reservations are made.
 func (s *scheduler) tryPlace(v, c, t int) bool {
 	kind := ir.FUFor(s.loop.Instrs[v].Class)
-	slot := int(kind)*s.ii + mod(t, s.ii)
-	if s.fu[c][slot] >= s.cfg.FUsPerCluster[kind] {
+	slot := (c*int(arch.NumFUKinds)+int(kind))*s.ii + mod(t, s.ii)
+	if s.fu[slot] >= s.cfg.FUsPerCluster[kind] {
 		return false
 	}
 
 	// Plan the copies this placement needs.
-	type plan struct{ copyOp Copy }
-	var plans []plan
-	busDelta := make(map[int]int)
-	reserveBus := func(from, lo, hi int) (int, bool) {
-		// Find the earliest start in [lo, hi] with a free bus for
-		// BusCycleRatio consecutive modulo slots.
-		for tc := lo; tc <= hi; tc++ {
-			free := true
-			for k := 0; k < s.cfg.BusCycleRatio; k++ {
-				sl := mod(tc+k, s.ii)
-				if s.bus[sl]+busDelta[sl] >= s.cfg.RegBuses {
-					free = false
-					break
-				}
-			}
-			if free {
-				for k := 0; k < s.cfg.BusCycleRatio; k++ {
-					busDelta[mod(tc+k, s.ii)]++
-				}
-				return tc, true
-			}
-		}
-		return 0, false
-	}
-
-	for _, e := range s.loop.Edges {
+	s.plans = s.plans[:0]
+	for _, ei := range s.inc[v] {
+		e := s.loop.Edges[ei]
 		if e.Kind != ir.RegFlow {
 			continue
 		}
-		switch {
-		case e.To == v && e.From != v && s.placed[e.From] && s.place[e.From].Cluster != c:
+		var cp Copy
+		var lo, hi int
+		if e.To == v {
 			p := e.From
-			lo := s.place[p].Cycle + s.assigned[p] - s.ii*e.Distance
-			hi := t - s.cfg.CommLatency()
-			tc, ok := reserveBus(p, lo, hi)
-			if !ok {
-				return false
+			if !s.placed[p] || s.place[p].Cluster == c {
+				continue
 			}
-			plans = append(plans, plan{Copy{From: p, To: v, FromCluster: s.place[p].Cluster, ToCluster: c, Cycle: tc}})
-		case e.From == v && e.To != v && s.placed[e.To] && s.place[e.To].Cluster != c:
+			lo = s.place[p].Cycle + s.assigned[p] - s.ii*e.Distance
+			hi = t - s.cfg.CommLatency()
+			cp = Copy{From: p, To: v, FromCluster: s.place[p].Cluster, ToCluster: c}
+		} else {
 			cons := e.To
-			lo := t + s.assigned[v]
-			hi := s.place[cons].Cycle + s.ii*e.Distance - s.cfg.CommLatency()
-			tc, ok := reserveBus(v, lo, hi)
-			if !ok {
-				return false
+			if !s.placed[cons] || s.place[cons].Cluster == c {
+				continue
 			}
-			plans = append(plans, plan{Copy{From: v, To: cons, FromCluster: c, ToCluster: s.place[cons].Cluster, Cycle: tc}})
+			lo = t + s.assigned[v]
+			hi = s.place[cons].Cycle + s.ii*e.Distance - s.cfg.CommLatency()
+			cp = Copy{From: v, To: cons, FromCluster: c, ToCluster: s.place[cons].Cluster}
 		}
+		tc, ok := s.reserveBus(lo, hi)
+		if !ok {
+			s.dropBusDelta()
+			return false
+		}
+		cp.Cycle = tc
+		s.plans = append(s.plans, cp)
 	}
 
 	// Commit.
-	s.fu[c][slot]++
-	for sl, d := range busDelta {
-		s.bus[sl] += d
+	s.fu[slot]++
+	for _, sl := range s.touched {
+		s.bus[sl] += s.busDelta[sl]
 	}
-	for _, p := range plans {
-		s.copies = append(s.copies, p.copyOp)
-	}
+	s.dropBusDelta()
+	s.copies = append(s.copies, s.plans...)
 	s.place[v] = Placement{Cycle: t, Cluster: c}
 	s.placed[v] = true
+	s.load[c]++
 	return true
+}
+
+// reserveBus finds the earliest start in [lo, hi] with a free bus for
+// BusCycleRatio consecutive modulo slots, counting the probe's earlier
+// reservations, and records the reservation in busDelta.
+func (s *scheduler) reserveBus(lo, hi int) (int, bool) {
+	for tc := lo; tc <= hi; tc++ {
+		free := true
+		for k := 0; k < s.cfg.BusCycleRatio; k++ {
+			sl := mod(tc+k, s.ii)
+			if s.bus[sl]+s.busDelta[sl] >= s.cfg.RegBuses {
+				free = false
+				break
+			}
+		}
+		if free {
+			for k := 0; k < s.cfg.BusCycleRatio; k++ {
+				sl := mod(tc+k, s.ii)
+				if s.busDelta[sl] == 0 {
+					s.touched = append(s.touched, sl)
+				}
+				s.busDelta[sl]++
+			}
+			return tc, true
+		}
+	}
+	return 0, false
+}
+
+// dropBusDelta clears the probe's pending bus reservations.
+func (s *scheduler) dropBusDelta() {
+	for _, sl := range s.touched {
+		s.busDelta[sl] = 0
+	}
+	s.touched = s.touched[:0]
 }
 
 func mod(a, m int) int {

@@ -66,10 +66,12 @@
 #      diagnostics, and -json must emit them as parseable JSON — so a
 #      silently broken analyzer can never fake a clean repo. The analyzer
 #      wall time per KLoC lands in BENCH_10.json
-#  13. bounded fuzzing: FuzzRecEngine (internal/ir) checks the exact
-#      recurrence-II solver against the naive Graph.RecII on generated
-#      components for 10s; a crasher is written under
-#      internal/ir/testdata/fuzz/FuzzRecEngine and becomes a committed seed
+#  13. bounded fuzzing, 10s per target: FuzzRecEngine (internal/ir) checks
+#      the exact recurrence-II solver against the naive Graph.RecII on
+#      generated components, and FuzzAssign (internal/latassign) checks the
+#      bound-pruned latency assignment against the naive referenceAssign on
+#      generated loops and ladders; a crasher is written under the package's
+#      testdata/fuzz/<target> and becomes a committed seed
 #
 # Usage: scripts/ci.sh
 # To refresh the golden transcript after an *intentional* output change:
@@ -750,7 +752,8 @@ printf '{\n  "snapshot": 10,\n  "date": "%s",\n  "go": "%s",\n  "analyzers": ["a
 echo "snapshot written to BENCH_10.json:"
 cat BENCH_10.json
 
-echo "== 13/13 bounded fuzzing: FuzzRecEngine against the naive RecII =="
+echo "== 13/13 bounded fuzzing: FuzzRecEngine and FuzzAssign against their naive references =="
 go test -run '^$' -fuzz '^FuzzRecEngine$' -fuzztime 10s ./internal/ir
+go test -run '^$' -fuzz '^FuzzAssign$' -fuzztime 10s ./internal/latassign
 
 echo "CI PASS"
